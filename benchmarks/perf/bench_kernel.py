@@ -7,20 +7,13 @@ events, and a flow-shaped macro-mix (the 64-node 8×8 shuffle mesh). Run
 with::
 
     PYTHONPATH=src python benchmarks/perf/bench_kernel.py [--profile]
-        [--shards N]
 
-``--shards N`` runs every scenario on the sharded kernel
-(``ShardedEnvironment``) instead of the single-queue ``Environment`` —
-simulated results are bit-identical; only wall-clock moves. Emits
-``benchmarks/perf/BENCH_kernel.json`` (only when running the default
-single-queue kernel, so the committed file stays comparable).
-``--profile`` wraps the run in cProfile and prints the top 20 entries by
+Emits ``benchmarks/perf/BENCH_kernel.json``. ``--profile`` wraps the run in cProfile and prints the top 20 entries by
 cumulative time.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -31,24 +24,15 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 from profutil import maybe_profiled  # noqa: E402
 
-from repro.simnet import Environment, ShardedEnvironment  # noqa: E402
+from repro.simnet import Environment  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 OUTPUT = os.path.join(HERE, "BENCH_kernel.json")
 
-#: Kernel factory for the synthetic scenarios (set by --shards).
-_SHARDS = 1
-
-
-def _make_env() -> Environment:
-    if _SHARDS > 1:
-        return ShardedEnvironment(_SHARDS)
-    return Environment()
-
 
 def bench_timeout_storm(n: int) -> dict:
     """n independent timeouts with distinct delays (heap-heavy)."""
-    env = _make_env()
+    env = Environment()
     for i in range(n):
         env.timeout(float(i % 97) + 1.0)
     start = time.perf_counter()
@@ -60,7 +44,7 @@ def bench_timeout_storm(n: int) -> dict:
 
 def bench_zero_delay_chain(n: int) -> dict:
     """One process yielding n zero-delay timeouts (self-wakeup chain)."""
-    env = _make_env()
+    env = Environment()
 
     def chain(env):
         for _ in range(n):
@@ -76,7 +60,7 @@ def bench_zero_delay_chain(n: int) -> dict:
 
 def bench_ping_pong(n: int) -> dict:
     """Two processes handing control back and forth via manual events."""
-    env = _make_env()
+    env = Environment()
     state = {"ping": env.event(), "pong": env.event()}
 
     def pinger(env):
@@ -104,7 +88,7 @@ def bench_ping_pong(n: int) -> dict:
 
 def bench_pooled_timeouts(n: int) -> dict:
     """Sequential timeouts from one process (pool-friendly shape)."""
-    env = _make_env()
+    env = Environment()
 
     def worker(env):
         for i in range(n):
@@ -120,7 +104,7 @@ def bench_pooled_timeouts(n: int) -> dict:
 
 def bench_callback_schedule(n: int) -> dict:
     """n direct callbacks via ``schedule_at`` (one timer churn each)."""
-    env = _make_env()
+    env = Environment()
     sink = []
     append = sink.append
     for i in range(n):
@@ -137,7 +121,7 @@ def bench_train_schedule(n: int) -> dict:
     """The same n callbacks posted as trains of 16 via ``schedule_train``
     (one chained recycled timer walks each sorted action list) — the
     kernel shape a doorbell-batched NIC produces."""
-    env = _make_env()
+    env = Environment()
     sink = []
     append = sink.append
     for base in range(0, n, 16):
@@ -155,11 +139,10 @@ def bench_flow_mesh(_n: int) -> dict:
     """64-node 8×8 shuffle mesh: the kernel under a real flow-shaped
     event mix (fabric arrivals, doorbell trains, footer polls, credit
     writes) rather than a synthetic timer storm. ``events`` counts
-    scheduled kernel events (``env._sequence``), the comparable
-    population either kernel executes."""
+    scheduled kernel events (``env._sequence``)."""
     from repro.bench.flows import run_shuffle_mesh
 
-    result = run_shuffle_mesh(8, 8, tuples_per_source=512, shards=_SHARDS)
+    result = run_shuffle_mesh(8, 8, tuples_per_source=512)
     cluster = result.pop("cluster")
     events = cluster.env._sequence
     wall = result["wall_seconds"]
@@ -169,17 +152,8 @@ def bench_flow_mesh(_n: int) -> dict:
 
 
 def main() -> None:
-    global _SHARDS
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--shards", type=int, default=1,
-                        help="event-kernel shards for every scenario "
-                             "(default 1 = single-queue kernel)")
-    parser.add_argument("--profile", action="store_true",
-                        help=argparse.SUPPRESS)  # handled by profutil
-    args, _ = parser.parse_known_args()
-    _SHARDS = max(1, args.shards)
     n = int(os.environ.get("BENCH_KERNEL_EVENTS", 200_000))
-    results = {"bench": "kernel", "shards": _SHARDS, "scenarios": []}
+    results = {"bench": "kernel", "scenarios": []}
     for fn in (bench_timeout_storm, bench_zero_delay_chain,
                bench_ping_pong, bench_pooled_timeouts,
                bench_callback_schedule, bench_train_schedule,
@@ -188,13 +162,9 @@ def main() -> None:
         results["scenarios"].append(entry)
         print(f"{entry['name']:>20}: {entry['events_per_sec']:12.0f} "
               f"events/s")
-    if _SHARDS == 1:
-        with open(OUTPUT, "w") as fh:
-            json.dump(results, fh, indent=2)
-        print(f"wrote {OUTPUT}")
-    else:
-        print(f"--shards {_SHARDS}: not overwriting {OUTPUT} "
-              f"(committed numbers are single-queue)")
+    with open(OUTPUT, "w") as fh:
+        json.dump(results, fh, indent=2)
+    print(f"wrote {OUTPUT}")
 
 
 if __name__ == "__main__":

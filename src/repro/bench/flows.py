@@ -325,28 +325,22 @@ def measure_combiner_bandwidth(tuple_size: int, threads_per_sender: int,
 
 
 def run_shuffle_mesh(groups: int, group_size: int, tuple_size: int = 64,
-                     tuples_per_source: int = 256, shards: int | None = None,
-                     seed: int = 0,
+                     tuples_per_source: int = 256, seed: int = 0,
                      options: FlowOptions = FlowOptions(
                          source_segments=4, target_segments=16,
                          credit_threshold=8),
                      ) -> dict:
     """Grouped shuffle mesh: ``groups`` concurrent ``group_size``:
     ``group_size`` shuffle flows on one ``groups × group_size``-node
-    cluster (rack-aligned shards via :meth:`Cluster.racked`).
+    cluster; group ``g`` owns nodes ``g*group_size .. (g+1)*group_size - 1``.
 
-    The scale scenario for the sharded kernel: 8×8 is the 64-node kernel
-    bench's flow-shaped event mix; 32×8 is the 256-node, 32-concurrent-
-    flow acceptance scenario of ``bench_sharded.py``. Every flow stays
-    inside its group, so with rack-aligned shards cross-shard mailbox
-    traffic is near zero — the honest best case for batch draining.
-    Returns sim/wall measurements plus the cluster (callers read
-    ``cluster.metrics_snapshot()``; sim metrics are bit-identical for
-    any ``shards``).
+    8×8 is the 64-node kernel bench's flow-shaped event mix. Returns
+    sim/wall measurements plus the cluster (callers read
+    ``cluster.metrics_snapshot()``).
     """
     import time as _time
 
-    cluster = Cluster.racked(groups, group_size, seed=seed, shards=shards)
+    cluster = Cluster(node_count=groups * group_size, seed=seed)
     dfi = DfiRuntime(cluster)
     schema = _payload_schema(tuple_size)
     pad = b"x" * (tuple_size - 8)
@@ -389,7 +383,6 @@ def run_shuffle_mesh(groups: int, group_size: int, tuple_size: int = 64,
     assert done["flows"] == groups * group_size
     return {
         "nodes": cluster.node_count,
-        "shards": cluster.shard_count,
         "flows": groups,
         "tuples": groups * group_size * tuples_per_source,
         "sim_ns": cluster.now,

@@ -25,31 +25,6 @@ from repro.common.units import MICROSECONDS, gbps_to_bytes_per_ns
 CODEGEN_ENABLED: bool = os.environ.get("REPRO_NO_CODEGEN", "") in ("", "0")
 
 
-def _read_default_shards() -> int:
-    raw = os.environ.get("REPRO_SHARDS", "")
-    if raw in ("", "0", "1"):
-        return 1
-    try:
-        shards = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_SHARDS must be a positive integer, got {raw!r}") from None
-    if shards < 1:
-        raise ConfigurationError(
-            f"REPRO_SHARDS must be a positive integer, got {raw!r}")
-    return shards
-
-
-#: Default shard count for new :class:`~repro.simnet.cluster.Cluster`
-#: objects (``REPRO_SHARDS`` environment knob). 1 keeps the single-queue
-#: kernel; >1 selects the sharded kernel
-#: (:class:`~repro.simnet.shard.ShardedEnvironment`), which is clamped to
-#: the node count and produces bit-identical simulated metrics (see
-#: ``simnet/shard.py``). Read once at import, like ``CODEGEN_ENABLED``:
-#: the kernel is chosen at cluster construction and must not flip mid-run.
-DEFAULT_SHARDS: int = _read_default_shards()
-
-
 def codegen_enabled() -> bool:
     """True when schema codegen kernels are active (the default).
 

@@ -150,9 +150,9 @@ class DfiRuntime:
         runtime's flows (``REPRO_NO_FASTPATH`` kill switch off).
 
         Availability, not activity: each endpoint additionally requires
-        telemetry off and a same-shard-lane peer at open time, and every
-        flush re-checks the fault/congestion planes — an active plane
-        de-elides the train instantly. The toggle is wall-clock only;
+        telemetry off at open time, and every flush re-checks the
+        fault/congestion planes — an active plane de-elides the train
+        instantly. The toggle is wall-clock only;
         simulated metrics are bit-identical either way (the fingerprint
         gate in CI).
         """

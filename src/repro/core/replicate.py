@@ -70,13 +70,14 @@ from repro.rdma.qp import UD_MTU
 
 @dataclass(frozen=True)
 class ControlHandle:
-    """Remote handle of a source's control region: per-target credit and
-    NACK slots written one-sidedly by targets."""
+    """Remote handle of a source's back-flow: one target's u64 slot in the
+    source's credit region and in its NACK region, both written
+    one-sidedly by the target."""
 
     node_id: int
-    rkey: int
-    credit_offset: int
-    nack_offset: int
+    credit_rkey: int
+    nack_rkey: int
+    offset: int
 
 
 class SeqTracker:
@@ -586,11 +587,8 @@ class NaiveReplicateTarget(ShuffleTarget):
 class MulticastReplicateSource:
     """Replicate source over switch multicast with credit/NACK back-flow."""
 
-    #: Control-region layout: 16 bytes per target (credit u64, nack u64).
-    _CONTROL_STRIDE = 16
-
     def __init__(self, registry: FlowRegistry, descriptor: FlowDescriptor,
-                 source_index: int, control_region, ud_qp,
+                 source_index: int, credit_region, nack_region, ud_qp,
                  sequencer: "TupleSequencer | None") -> None:
         self.registry = registry
         self.descriptor = descriptor
@@ -599,7 +597,13 @@ class MulticastReplicateSource:
             descriptor.sources[source_index].node_id)
         self.env = self.node.env
         self.profile = self.node.cluster.profile
-        self._control = control_region
+        #: One u64 per target: segments it has parsed (credit) and the
+        #: latest missing sequence number + 1 it reported (NACK). NACKs
+        #: live in their own region so the retransmit hook below never
+        #: runs on a credit write.
+        self._credits = credit_region
+        self._nacks = nack_region
+        nack_region.add_write_hook(self._on_nack)
         self._ud_qp = ud_qp
         self._group = registry.multicast_group(descriptor.name)
         self._sequencer = sequencer
@@ -609,13 +613,20 @@ class MulticastReplicateSource:
         self._window = descriptor.options.target_segments
         self._retransmit: dict[int, bytes] = {}
         self._retransmit_order: deque[int] = deque()
-        self._waiter = _RingWriteWaiter(self.env, [control_region])
+        self._waiter = _RingWriteWaiter(self.env, [credit_region])
         self._cpu_debt = 0.0
         self._local_seq = 0
         self._close_slot: "bytes | None" = None
         #: Target indices declared failed (excluded from flow control).
         self._failed_targets: set[int] = set()
         self._aborting = False
+        #: Tail-loss probe (:meth:`_probe_tail`). Armed only where a
+        #: datagram can actually be lost and the library owns recovery,
+        #: so a lossless run schedules no extra kernel events.
+        self._probe_enabled = (self.profile.multicast_loss_probability > 0.0
+                               and not descriptor.options.gap_notify)
+        self._probe_armed = False
+        self._probe_floor = 0
         self.segments_sent = 0
         self.tuples_sent = 0
         self.retransmissions = 0
@@ -649,21 +660,19 @@ class MulticastReplicateSource:
         node = registry.cluster.node(
             descriptor.sources[source_index].node_id)
         nic = get_nic(node)
-        control = nic.register_memory(
-            cls._CONTROL_STRIDE * descriptor.target_count)
+        credits = nic.register_memory(8 * descriptor.target_count)
+        nacks = nic.register_memory(8 * descriptor.target_count)
         for target_index in range(descriptor.target_count):
             registry.publish_backchannel(
                 name, source_index, target_index,
-                ControlHandle(
-                    node_id=node.node_id, rkey=control.rkey,
-                    credit_offset=cls._CONTROL_STRIDE * target_index,
-                    nack_offset=cls._CONTROL_STRIDE * target_index + 8))
+                ControlHandle(node_id=node.node_id, credit_rkey=credits.rkey,
+                              nack_rkey=nacks.rkey, offset=8 * target_index))
         ud_qp = nic.create_ud_qp()
         sequencer = None
         if descriptor.ordering is Ordering.GLOBAL:
             sequencer = TupleSequencer(registry, name, node)
         yield from registry.wait_all_targets(name)
-        return cls(registry, descriptor, source_index, control, ud_qp,
+        return cls(registry, descriptor, source_index, credits, nacks, ud_qp,
                    sequencer)
 
     # -- credit / NACK bookkeeping -----------------------------------------
@@ -672,7 +681,7 @@ class MulticastReplicateSource:
                 if t not in self._failed_targets]
 
     def _target_credit(self, target: int) -> int:
-        return self._control.read_u64(self._CONTROL_STRIDE * target)
+        return self._credits.read_u64(8 * target)
 
     def _min_credit(self) -> int:
         live = self._live_targets()
@@ -681,20 +690,48 @@ class MulticastReplicateSource:
             return self.segments_sent
         return min(self._target_credit(t) for t in live)
 
-    def _service_nacks(self) -> None:
-        for target in range(self.descriptor.target_count):
-            offset = self._CONTROL_STRIDE * target + 8
-            value = self._control.read_u64(offset)
-            if not value:
-                continue
-            seq = value - 1
-            slot = self._retransmit.get(seq)
-            if slot is not None:
-                self._ud_qp.post_send_multicast(self._group, slot)
-                self._note_retransmit(seq)
-            # Clear the NACK slot directly (our own memory; a hook-free
-            # write so we do not wake ourselves).
-            self._control.mem[offset:offset + 8] = b"\x00" * 8
+    def _on_nack(self, offset: int, _length: int) -> None:
+        """Write hook on the NACK region: re-multicast the reported
+        segment the moment the NACK lands, whether or not the source
+        thread is inside a library call — a closed-loop client's source
+        sits idle while it waits for replies. Under global ordering every
+        source is NACKed; the ones that never sent ``seq`` ignore it."""
+        nacks = self._nacks
+        seq = nacks.read_u64(offset) - 1
+        # Clear the slot directly (our own memory; a hook-free write).
+        nacks.mem[offset:offset + 8] = bytes(8)
+        slot = self._retransmit.get(seq)
+        if slot is not None:
+            self._ud_qp.post_send_multicast(self._group, slot)
+            self._note_retransmit(seq)
+
+    def _arm_probe(self) -> None:
+        self._probe_armed = True
+        self._probe_floor = self._min_credit()
+        self.env.schedule_at(
+            self.env.now + self.descriptor.options.retransmit_timeout,
+            self._probe_tail)
+
+    def _probe_tail(self) -> None:
+        """A NACK needs a later datagram to expose the gap, so the newest
+        segment is the one no NACK can recover — e.g. the last request of
+        a closed-loop client. While segments stay uncredited, re-multicast
+        the newest one whenever a whole ``retransmit_timeout`` passed
+        without the credit floor moving. ``close()`` takes over for the
+        close marker."""
+        self._probe_armed = False
+        if (self._close_slot is not None or self._aborting
+                or self.node.crashed):
+            return
+        credit = self._min_credit()
+        if credit >= self.segments_sent:
+            return
+        if credit == self._probe_floor:
+            seq = self._retransmit_order[-1]
+            self._ud_qp.post_send_multicast(self._group,
+                                            self._retransmit[seq])
+            self._note_retransmit(seq)
+        self._arm_probe()
 
     def _remember(self, seq: int, slot: bytes) -> None:
         self._retransmit[seq] = slot
@@ -721,7 +758,6 @@ class MulticastReplicateSource:
         while self.segments_sent - self._min_credit() >= self._window:
             if self._metrics is not None:
                 self._metrics.inc("core.credit_stalls")
-            self._service_nacks()
             event = self._waiter.arm()
             if self.segments_sent - self._min_credit() < self._window:
                 self._waiter.disarm()
@@ -867,7 +903,6 @@ class MulticastReplicateSource:
         resend_deadline = (self.env.now
                            + self.descriptor.options.retransmit_timeout)
         while self._min_credit() < total:
-            self._service_nacks()
             event = self._waiter.arm()
             if self._min_credit() >= total:
                 self._waiter.disarm()
@@ -954,6 +989,8 @@ class MulticastReplicateSource:
             self._close_slot = slot
         self._ud_qp.post_send_multicast(self._group, slot)
         self.segments_sent += 1
+        if self._probe_enabled and not self._probe_armed:
+            self._arm_probe()
         metrics = self._metrics
         if metrics is not None:
             metrics.inc("core.segments_flushed")
@@ -961,7 +998,6 @@ class MulticastReplicateSource:
             if tracer is not None:
                 tracer.emit(self.env.now, SEG_WRITE, self.node.node_id,
                             self._tid, {"seq": seq, "bytes": len(payload)})
-        self._service_nacks()
 
     @property
     def failed_targets(self) -> tuple:
@@ -971,7 +1007,7 @@ class MulticastReplicateSource:
     @property
     def memory_bytes(self) -> int:
         return (self._payload_size + FOOTER_SIZE
-                + self._control.size)
+                + self._credits.size + self._nacks.size)
 
 
 class MulticastReplicateTarget:
@@ -1124,7 +1160,7 @@ class MulticastReplicateTarget:
         handle = self._control_handles[source]
         self._control_qps[source].post_write(
             self._consumed[source].to_bytes(8, "little"),
-            handle.rkey, handle.credit_offset, signaled=False)
+            handle.credit_rkey, handle.offset, signaled=False)
 
     # -- gap detection -------------------------------------------------------
     def _current_gaps(self) -> list[tuple]:
@@ -1175,7 +1211,7 @@ class MulticastReplicateTarget:
             handle = self._control_handles[source]
             self._control_qps[source].post_write(
                 (missing + 1).to_bytes(8, "little"),
-                handle.rkey, handle.nack_offset, signaled=False)
+                handle.nack_rkey, handle.offset, signaled=False)
 
     # -- consume ---------------------------------------------------------
     def consume(self):

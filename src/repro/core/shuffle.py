@@ -223,17 +223,13 @@ class BandwidthSourceChannel:
         # Steady-state event elision (DESIGN.md, "Steady-state event
         # elision"): route this channel's doorbell trains through the
         # fused macro-event path when nothing can observe the machinery
-        # difference — telemetry off and source/target on the same shard
-        # lane. The *dynamic* parts of the steady-state predicate (fault
-        # plan, congestion plane) are re-checked inside
-        # ``post_write_train_fused`` on every flush, so a plane turning
-        # active de-elides the very next train.
-        target_node = node.cluster.node(handle.node_id)
+        # difference — telemetry off. The *dynamic* parts of the
+        # steady-state predicate (fault plan, congestion plane) are
+        # re-checked inside ``post_write_train_fused`` on every flush, so
+        # a plane turning active de-elides the very next train.
         self._fused = (_config.FASTPATH_ENABLED
                        and self._metrics is None
-                       and self._tracer is None
-                       and (node.env.shard_count == 1
-                            or node._shard == target_node._shard))
+                       and self._tracer is None)
         #: Remote ring region, resolved once on the first fused train (the
         #: rkey registration lives as long as the flow, so the lookup and
         #: the whole-ring range check are loop-invariant).

@@ -83,14 +83,11 @@ class FooterRingWriter:
         self._tid = (f"r{tag[1]}->t{tag[2]}" if len(tag) >= 3
                      else f"r{tag[0]}")
         # Steady-state event elision (see BandwidthSourceChannel): fuse
-        # doorbell trains into macro-events when telemetry is off and
-        # both ends share a shard lane; fault/congestion planes are
-        # re-checked per flush inside ``post_write_train_fused``.
-        target_node = node.cluster.node(handle.node_id)
+        # doorbell trains into macro-events when telemetry is off;
+        # fault/congestion planes are re-checked per flush inside
+        # ``post_write_train_fused``.
         self._fused = (_config.FASTPATH_ENABLED
-                       and self._metrics is None
-                       and (node.env.shard_count == 1
-                            or node._shard == target_node._shard))
+                       and self._metrics is None)
 
     def write_segment(self, payload: bytes, flags: int, seq: int,
                       source_index: int = 0):

@@ -18,24 +18,18 @@ tie-break below), charges the gap ``t_child .. t`` to ``cpu``, charges
 the edge's span to its category, and jumps to ``t_parent``. Because
 every recorded edge has ``t_parent < t_child`` the cursor strictly
 decreases, so the walk terminates with an **exact decomposition** of
-``[t_open, t_close]`` into the eight blame categories.
+``[t_open, t_close]`` into the seven blame categories.
 
 Tie-break (same ``t_child``): smaller ``t_parent`` first (explains more
 time), then category priority (wire, nic_arb, fault_backoff,
 congestion_holdoff, ecn_pacing, credit_stall), then smaller node id,
 then recording order. Every key is a pure function of the simulated
 run, so the critical path — and the blame JSON — is byte-identical
-across reruns and across ``REPRO_SHARDS`` values.
+across reruns.
 
-Two record kinds are *context*, never walked:
-
-- ``seg`` spans (segment write -> consume) feed the per-target slack
-  ranking; walking them would mask the finer per-WQE edges inside.
-- ``shard_crossing`` spans exist only on sharded kernels. Attributing
-  them would make blame depend on the shard map, breaking the
-  shard-count invariance the determinism tests pin; the analyzer
-  reports crossing counts separately instead, and the blame category
-  is structurally 0.0.
+``seg`` spans (segment write -> consume) are *context*, never walked:
+they feed the per-target slack ranking, and walking them would mask the
+finer per-WQE edges inside.
 """
 
 from __future__ import annotations
@@ -51,12 +45,11 @@ CREDIT_STALL = "credit_stall"            #: credit waits, ring-full polls/backof
 CONGESTION_HOLDOFF = "congestion_holdoff"  #: PFC hold-off at a bounded egress queue
 ECN_PACING = "ecn_pacing"                #: DCQCN/UD rate-limiter pacing delay
 FAULT_BACKOFF = "fault_backoff"          #: outage heal waits, detection-bound flushes
-SHARD_CROSSING = "shard_crossing"        #: lane-crossing hop (context, never walked)
 SEG_SPAN = "seg"                         #: segment write->consume (context)
 
 #: Every key present in a blame breakdown, in render order.
 BLAME_CATEGORIES = (WIRE, NIC_ARB, CPU, CREDIT_STALL, CONGESTION_HOLDOFF,
-                    ECN_PACING, FAULT_BACKOFF, SHARD_CROSSING)
+                    ECN_PACING, FAULT_BACKOFF)
 
 #: Categories the backward walk may traverse.
 WALK_CATEGORIES = frozenset((WIRE, NIC_ARB, CREDIT_STALL,
@@ -113,7 +106,7 @@ class CausalRecorder:
     Hot paths cache this object like ``node.metrics`` (one ``is None``
     check when the plane is off) and call :meth:`edge` with explicit
     simulated timestamps, so recording order equals simulated order and
-    per-node logs are bit-identical across shard counts.
+    per-node logs are bit-identical across reruns.
     """
 
     __slots__ = ("env", "capacity", "logs", "closes", "opens")
@@ -277,8 +270,8 @@ def critical_path(edges, t_close: float, t_open: float = 0.0) -> list:
 
 
 def blame_breakdown(steps) -> dict:
-    """Sum the critical-path steps per category (all eight keys present;
-    ``shard_crossing`` is structurally 0.0 — see the module docstring)."""
+    """Sum the critical-path steps per category (all seven keys
+    present)."""
     blame = {category: 0.0 for category in BLAME_CATEGORIES}
     for step in steps:
         blame[step["category"]] += step["end"] - step["start"]
@@ -327,18 +320,6 @@ def hot_targets(edges) -> list:
                for node, total in sorted(per_node.items())]
     ranking.sort(key=lambda entry: (-entry["holdoff_ns"], entry["node"]))
     return ranking
-
-
-def shard_crossing_stats(edges) -> dict:
-    """Context stats for lane crossings (kept out of the blame JSON —
-    they exist only on sharded kernels)."""
-    count = 0
-    total = 0.0
-    for t_child, t_parent, category, _node, _src, _tid, _flow in edges:
-        if category == SHARD_CROSSING:
-            count += 1
-            total += t_child - t_parent
-    return {"count": count, "span_ns": total}
 
 
 # -- flow reports -------------------------------------------------------------
@@ -413,8 +394,7 @@ def flow_report(export: dict, flow: "str | None" = None,
 
 def blame_json(report: dict) -> str:
     """Canonical JSON for a flow report — byte-identical across reruns
-    and across ``REPRO_SHARDS`` values for the same seed (the
-    determinism tests compare this string)."""
+    for the same seed (the determinism tests compare this string)."""
     return json.dumps(report, sort_keys=True, separators=(",", ":"))
 
 

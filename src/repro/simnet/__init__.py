@@ -25,23 +25,16 @@ from repro.simnet.kernel import (
     AnyOf,
     Environment,
     Event,
-    EventLane,
     Interrupt,
     Process,
     Timeout,
 )
 from repro.simnet.link import Link
 from repro.simnet.node import Node
-from repro.simnet.shard import ShardedEnvironment, block_shard_map
-from repro.simnet.shardexec import run_partitioned
 from repro.simnet.sync import Barrier, Resource, Signal, Store
 
 __all__ = [
     "Environment",
-    "EventLane",
-    "ShardedEnvironment",
-    "block_shard_map",
-    "run_partitioned",
     "Event",
     "Timeout",
     "Process",

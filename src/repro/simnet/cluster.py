@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.common.config import (DEFAULT_HARDWARE, DEFAULT_SHARDS,
-                                 HardwareProfile)
+from repro.common.config import DEFAULT_HARDWARE, HardwareProfile
 from repro.common.errors import ConfigurationError
 from repro.simnet.fabric import Fabric
 from repro.simnet.kernel import Environment, Event
@@ -21,48 +20,14 @@ from repro.simnet.node import Node
 
 
 class Cluster:
-    """A simulated cluster of ``node_count`` servers behind one switch.
-
-    ``shards`` selects the event kernel: 1 (the default, or whatever
-    ``REPRO_SHARDS`` says) keeps the single-queue :class:`Environment`;
-    >1 builds a :class:`~repro.simnet.shard.ShardedEnvironment` with one
-    event lane per node group. Simulated metrics are bit-identical either
-    way — sharding changes event *storage*, never event *order* (see
-    ``simnet/shard.py``). ``shard_map`` overrides the default contiguous
-    block partition with an explicit node→shard list.
-    """
+    """A simulated cluster of ``node_count`` servers behind one switch."""
 
     def __init__(self, node_count: int,
                  profile: HardwareProfile = DEFAULT_HARDWARE,
-                 seed: int = 0, shards: int | None = None,
-                 shard_map: "list[int] | None" = None) -> None:
+                 seed: int = 0) -> None:
         if node_count < 1:
             raise ConfigurationError("cluster needs at least one node")
-        if shards is None:
-            shards = DEFAULT_SHARDS
-        if shards < 1:
-            raise ConfigurationError(
-                f"shard count must be >= 1, got {shards}")
-        shards = min(shards, node_count)
-        if shard_map is not None:
-            if len(shard_map) != node_count:
-                raise ConfigurationError(
-                    f"shard_map covers {len(shard_map)} nodes, cluster has "
-                    f"{node_count}")
-            if min(shard_map) < 0 or max(shard_map) >= node_count:
-                raise ConfigurationError(
-                    "shard_map entries must lie in [0, node_count)")
-            shards = max(shards, max(shard_map) + 1)
-            self.shard_map = list(shard_map)
-        else:
-            from repro.simnet.shard import block_shard_map
-            self.shard_map = block_shard_map(node_count, shards)
-        if shards > 1:
-            from repro.simnet.shard import ShardedEnvironment
-            self.env = ShardedEnvironment(
-                shards, lookahead=profile.wire_latency)
-        else:
-            self.env = Environment()
+        self.env = Environment()
         self.profile = profile
         self.seed = seed
         self.nodes = [Node(self, node_id) for node_id in range(node_count)]
@@ -144,7 +109,6 @@ class Cluster:
                                 causal=causal)
             for node in self.nodes:
                 node.metrics = self.obs.registry(node.node_id)
-            self._register_kernel_collectors()
         else:
             if trace:
                 self.obs.trace_all = True
@@ -154,43 +118,7 @@ class Cluster:
         if causal:
             for node in self.nodes:
                 node.causal = self.obs.causal
-            if self.env.shard_count > 1:
-                # Fabric crossing sites read this slot to record
-                # shard_crossing context spans (see simnet/shard.py).
-                self.env.crossing_recorder = self.obs.causal
         return self.obs
-
-    def _register_kernel_collectors(self) -> None:
-        """Surface the sharded kernel's always-on lane tallies as
-        read-time counters (``kernel.shard.*``) on each shard's home node
-        — the first node mapped to that lane. Collectors are harvested at
-        snapshot time, so sharding observability costs the hot path
-        nothing (the ``repro.obs`` contract)."""
-        env = self.env
-        if env.shard_count <= 1:
-            return
-        lanes = env._lanes
-        home: dict[int, int] = {}
-        for node_id, shard in enumerate(self.shard_map):
-            home.setdefault(shard, node_id)
-
-        def lane_collector(lane):
-            def collect():
-                stats = lane.stats()
-                return (
-                    ("kernel.shard.events_drained", stats["drained"]),
-                    ("kernel.shard.drain_rounds", stats["rounds"]),
-                    ("kernel.shard.horizon_stalls", stats["horizon_stalls"]),
-                    ("kernel.shard.mailbox_in", stats["mailbox_in"]),
-                    ("kernel.shard.pending", stats["pending"]),
-                )
-            return collect
-
-        for shard, node_id in sorted(home.items()):
-            self.obs.registry(node_id).add_collector(
-                lane_collector(lanes[shard]))
-        self.obs.registry(home[min(home)]).add_collector(
-            lambda: (("kernel.mailbox_crossings", env.mailbox_crossings),))
 
     def metrics_snapshot(self) -> dict:
         """One dict of everything measurable about this cluster: per-node
@@ -218,15 +146,10 @@ class Cluster:
                     "busy_until_ns": link.busy_until_ns,
                     "hol_wait_ns": link.hol_wait_ns,
                 }
-        kernel = {"shards": self.env.shard_count}
-        shard_stats = getattr(self.env, "shard_stats", None)
-        if shard_stats is not None:
-            kernel = shard_stats()
         snapshot = {
             "nodes": self.obs.snapshot() if self.obs is not None else {},
             "nics": nics,
             "links": links,
-            "kernel": kernel,
             "fabric": {
                 "unicast_count": self.fabric.unicast_count,
                 "unicast_trains": self.fabric.unicast_trains,
@@ -256,46 +179,9 @@ class Cluster:
                 }
         return snapshot
 
-    @classmethod
-    def racked(cls, racks: int, nodes_per_rack: int,
-               profile: HardwareProfile = DEFAULT_HARDWARE,
-               seed: int = 0, shards: int | None = None) -> "Cluster":
-        """Build a ``racks × nodes_per_rack`` cluster with rack-aligned
-        shards — the topology helper for 256-1024-node scenarios.
-
-        Node ids are assigned rack-major (rack ``r`` owns nodes
-        ``r*nodes_per_rack .. (r+1)*nodes_per_rack - 1``). By default each
-        rack becomes one event shard; pass ``shards`` to coarsen (e.g.
-        ``shards=4`` on 32 racks groups 8 racks per shard — the map stays
-        rack-aligned because blocks of equal size nest)."""
-        if racks < 1 or nodes_per_rack < 1:
-            raise ConfigurationError(
-                "racked() needs racks >= 1 and nodes_per_rack >= 1")
-        node_count = racks * nodes_per_rack
-        if shards is None:
-            shards = racks
-        shards = min(shards, node_count)
-        from repro.simnet.shard import block_shard_map
-        rack_shard = block_shard_map(racks, shards)
-        shard_map = [rack_shard[node // nodes_per_rack]
-                     for node in range(node_count)]
-        cluster = cls(node_count, profile=profile, seed=seed,
-                      shards=shards, shard_map=shard_map)
-        cluster.nodes_per_rack = nodes_per_rack
-        return cluster
-
     @property
     def node_count(self) -> int:
         return len(self.nodes)
-
-    @property
-    def shard_count(self) -> int:
-        """Number of event-kernel shards (1 = single-queue kernel)."""
-        return self.env.shard_count
-
-    def shard_of(self, node_id: int) -> int:
-        """Event-kernel shard holding ``node_id``'s delivery lane."""
-        return self.shard_map[node_id]
 
     def node(self, node_id: int) -> Node:
         """Return the node with the given id (raises on bad id)."""

@@ -34,11 +34,6 @@ class Fabric:
         self.cluster = cluster
         self.env = cluster.env
         self.profile = cluster.profile
-        #: True when the kernel is sharded: arrival events are then tagged
-        #: with the destination node's shard so they land on its lane (the
-        #: per-shard inbound mailbox). Cached because the kernel choice is
-        #: fixed at cluster construction.
-        self._shard_tag = cluster.env.shard_count > 1
         self._loss_rng = derive_rng(cluster.seed, "fabric", "multicast-loss")
         #: Last loopback delivery time per node: loopback transfers keep
         #: FIFO order (a later-posted inline WQE has lower NIC latency and
@@ -86,11 +81,6 @@ class Fabric:
             arrival = max(arrival,
                           self._loopback_last.get(source.node_id, 0.0))
             self._loopback_last[source.node_id] = arrival
-            if self._shard_tag:
-                env._post_shard = source._shard
-                event = env.timeout(arrival - now)
-                env._post_shard = -1
-                return event
             return env.timeout(arrival - now)
         reserve_up = (source.uplink.reserve_priority if control
                       else source.uplink.reserve)
@@ -103,19 +93,6 @@ class Fabric:
         _down_start, down_end = reserve_down(
             size, send_start + self.profile.wire_latency)
         arrival = max(down_end, up_end + self.profile.wire_latency)
-        if self._shard_tag:
-            shard = destination._shard
-            if shard != source._shard:
-                env.mailbox_crossings += 1
-                recorder = env.crossing_recorder
-                if recorder is not None:
-                    recorder.edge(up_end + self.profile.wire_latency, up_end,
-                                  "shard_crossing", destination.node_id,
-                                  "fabric", src_node_id=source.node_id)
-            env._post_shard = shard
-            event = env.timeout(arrival - now)
-            env._post_shard = -1
-            return event
         return env.timeout(arrival - now)
 
     def unicast_train(self, source: Node, destination: Node, sizes,
@@ -137,12 +114,6 @@ class Fabric:
         count = len(sizes)
         self.unicast_count += count
         self.unicast_trains += 1
-        if (self._shard_tag and source is not destination
-                and destination._shard != source._shard):
-            # No arrival events to tag (the caller chains its own timers
-            # from the returned floats), but the train's messages still
-            # cross shards — keep the crossing tally honest.
-            self.env.mailbox_crossings += count
         now = self.env.now
         if source is destination:
             loop_latency = self.profile.loopback_latency
@@ -161,19 +132,12 @@ class Fabric:
         wire_latency = self.profile.wire_latency
         up_slots = uplink.reserve_train(sizes,
                                         [now + delay for delay in delays])
-        recorder = (self.env.crossing_recorder
-                    if self._shard_tag and destination._shard != source._shard
-                    else None)
         arrivals = []
         for size, (_up_start, up_end) in zip(sizes, up_slots):
             send_start = up_end - uplink.serialization_time(size)
             _down_start, down_end = downlink.reserve(
                 size, send_start + wire_latency)
             arrivals.append(max(down_end, up_end + wire_latency))
-            if recorder is not None:
-                recorder.edge(up_end + wire_latency, up_end,
-                              "shard_crossing", destination.node_id,
-                              "fabric", src_node_id=source.node_id)
         return arrivals
 
     def unicast_train_one(self, source: Node, destination: Node,
@@ -186,9 +150,6 @@ class Fabric:
             self._check_nodes(source, destination)
         self.unicast_count += 1
         self.unicast_trains += 1
-        if (self._shard_tag and source is not destination
-                and destination._shard != source._shard):
-            self.env.mailbox_crossings += 1
         now = self.env.now
         if source is destination:
             arrival = (now + delay + self.profile.loopback_latency
@@ -205,13 +166,6 @@ class Fabric:
         _down_start, down_end = destination.downlink.reserve(
             size, send_start + wire_latency)
         up_arrival = up_end + wire_latency
-        if (self._shard_tag and source is not destination
-                and destination._shard != source._shard):
-            recorder = self.env.crossing_recorder
-            if recorder is not None:
-                recorder.edge(up_arrival, up_end, "shard_crossing",
-                              destination.node_id, "fabric",
-                              src_node_id=source.node_id)
         return down_end if down_end > up_arrival else up_arrival
 
     # -- multicast -----------------------------------------------------------
@@ -228,7 +182,6 @@ class Fabric:
         self._check_nodes(source, *members)
         self.multicast_count += 1
         env = self.env
-        shard_tag = self._shard_tag
         now = env.now
         _up_start, up_end = source.uplink.reserve(size, now + delay)
         send_start = up_end - source.uplink.serialization_time(size)
@@ -249,17 +202,6 @@ class Fabric:
                 self.multicast_drops += 1
                 arrivals[member] = None
                 continue
-            if shard_tag:
-                shard = member._shard
-                if shard != source._shard:
-                    env.mailbox_crossings += 1
-                    recorder = env.crossing_recorder
-                    if recorder is not None:
-                        recorder.edge(up_end + self.profile.wire_latency,
-                                      up_end, "shard_crossing",
-                                      member.node_id, "fabric",
-                                      src_node_id=source.node_id)
-                env._post_shard = shard
             if member is source:
                 arrival_at = (now + delay + self.profile.loopback_latency
                               + size / self.profile.loopback_bandwidth)
@@ -273,8 +215,6 @@ class Fabric:
                 size, send_start + self.profile.wire_latency)
             arrival = max(d_end, up_end + self.profile.wire_latency)
             arrivals[member] = env.timeout(arrival - now)
-        if shard_tag:
-            env._post_shard = -1
         return arrivals
 
     # -- switch-terminated transfers (in-network processing) -----------------
@@ -297,11 +237,6 @@ class Fabric:
         now = env.now
         _start, down_end = destination.downlink.reserve(size, now)
         arrival = down_end + self.profile.wire_latency / 2
-        if self._shard_tag:
-            env._post_shard = destination._shard
-            event = env.timeout(arrival - now)
-            env._post_shard = -1
-            return event
         return env.timeout(arrival - now)
 
     def _check_nodes(self, *nodes: Node) -> None:

@@ -420,162 +420,6 @@ class AnyOf(Condition):
         self.succeed((self._indices[id(event)], event._value))
 
 
-class EventLane:
-    """One shard's event storage: the same two-lane calendar scheduler
-    :class:`Environment` inlines (zero-delay FIFO deque + front heap +
-    calendar ring + spill heap), packaged as a standalone structure so a
-    :class:`~repro.simnet.shard.ShardedEnvironment` can keep one per
-    shard.
-
-    A lane never advances the clock itself — it only stores
-    ``(time, sequence, event)`` entries and surfaces the lane-local
-    minimum through :meth:`head` / :meth:`pop`. The sharded kernel merges
-    lane heads to preserve exact global ``(time, sequence)`` order (see
-    ``simnet/shard.py`` for why the merge must stay exact).
-
-    The calendar logic is kept in lockstep with ``Environment``'s inlined
-    single-lane fast path; ``tests/test_simnet_shard.py`` asserts order
-    equivalence on randomized schedules.
-    """
-
-    __slots__ = ("queue", "immediate", "_base", "_horizon", "_buckets",
-                 "_bucket_count", "_spill", "_spill_floor",
-                 "drained", "rounds", "stalls", "mailbox_in")
-
-    def __init__(self, initial_time: float = 0.0) -> None:
-        #: Front heap: timed entries in (or before) the current bucket.
-        self.queue: list[tuple[float, int, Event]] = []
-        #: Zero-delay entries in FIFO order (times are non-decreasing).
-        self.immediate: deque[tuple[float, int, Event]] = deque()
-        base = int(initial_time) >> _CAL_SHIFT
-        self._base = base
-        self._horizon = float((base + 1) << _CAL_SHIFT)
-        self._buckets: list[list] = [[] for _ in range(_CAL_RING)]
-        self._bucket_count = 0
-        self._spill: list[tuple[float, int, Event]] = []
-        self._spill_floor = float((base + _CAL_RING) << _CAL_SHIFT)
-        # -- always-on lane tallies (read-time observability; one integer
-        # add per drain *round*, not per event, except mailbox_in which
-        # counts cross-shard posts — rare by construction).
-        #: Events executed out of this lane.
-        self.drained = 0
-        #: Drain rounds in which this lane was the active (minimum) lane.
-        self.rounds = 0
-        #: Rounds cut short by a peer lane's head within the lookahead
-        #: horizon (the batch could have run on under relaxed order).
-        self.stalls = 0
-        #: Entries posted into this lane from another shard's context
-        #: (the per-shard inbound mailbox, merged in (time, seq) order).
-        self.mailbox_in = 0
-
-    def push_timed(self, when: float, seq: int, event: Event) -> None:
-        """File a timed entry: front heap within the current bucket (or
-        earlier), ring bucket within the calendar window, else spill."""
-        if when < self._horizon:
-            heapq.heappush(self.queue, (when, seq, event))
-        elif when < self._spill_floor:
-            self._buckets[(int(when) >> _CAL_SHIFT) & _CAL_MASK
-                          ].append((when, seq, event))
-            self._bucket_count += 1
-        else:
-            heapq.heappush(self._spill, (when, seq, event))
-
-    def _refill(self) -> None:
-        """Advance the calendar until the front heap holds the earliest
-        pending timed entries (mirror of ``Environment._refill``)."""
-        queue = self.queue
-        buckets = self._buckets
-        spill = self._spill
-        base = self._base
-        bucket_count = self._bucket_count
-        while not queue:
-            if bucket_count:
-                base += 1
-                ring = buckets[base & _CAL_MASK]
-                if ring:
-                    bucket_count -= len(ring)
-                    queue.extend(ring)
-                    del ring[:]
-            elif spill:
-                head = spill[0][0]
-                if head >= _CAL_FAR:
-                    queue.extend(spill)
-                    del spill[:]
-                    break
-                base = int(head) >> _CAL_SHIFT
-            else:
-                break
-            floor = float((base + 1) << _CAL_SHIFT)
-            while spill and spill[0][0] < floor:
-                queue.append(heapq.heappop(spill))
-        heapq.heapify(queue)
-        self._base = base
-        self._bucket_count = bucket_count
-        self._horizon = float((base + 1) << _CAL_SHIFT)
-        self._spill_floor = float((base + _CAL_RING) << _CAL_SHIFT)
-
-    def head(self) -> "tuple[float, int, Event] | None":
-        """The lane's earliest entry by ``(time, sequence)`` without
-        removing it, or ``None`` if the lane is empty.
-
-        Zero-delay entries carry times at or before the global clock
-        while bucketed/spilled entries lie past the bucket horizon, so a
-        non-empty ``immediate`` makes the calendar consultable lazily —
-        exactly the invariant ``Environment._pop_next`` relies on.
-        """
-        immediate = self.immediate
-        queue = self.queue
-        if immediate:
-            first = immediate[0]
-            if queue:
-                head = queue[0]
-                if head[0] < first[0] or (head[0] == first[0]
-                                          and head[1] < first[1]):
-                    return head
-            return first
-        if not queue:
-            if not (self._bucket_count or self._spill):
-                return None
-            self._refill()
-            queue = self.queue
-            if not queue:
-                return None
-        return queue[0]
-
-    def pop(self) -> tuple[float, int, Event]:
-        """Remove and return the lane's earliest entry (callers must have
-        seen a non-``None`` :meth:`head` first)."""
-        immediate = self.immediate
-        queue = self.queue
-        if immediate:
-            if queue:
-                head = queue[0]
-                first = immediate[0]
-                if head[0] < first[0] or (head[0] == first[0]
-                                          and head[1] < first[1]):
-                    return heapq.heappop(queue)
-            return immediate.popleft()
-        if not queue:
-            self._refill()
-        return heapq.heappop(queue)
-
-    def __len__(self) -> int:
-        return (len(self.queue) + len(self.immediate)
-                + self._bucket_count + len(self._spill))
-
-    def stats(self) -> dict:
-        """JSON-safe snapshot of the lane tallies (read-time only)."""
-        return {
-            "pending": len(self),
-            "drained": self.drained,
-            "rounds": self.rounds,
-            "horizon_stalls": self.stalls,
-            "mailbox_in": self.mailbox_in,
-            "mean_window": (self.drained / self.rounds
-                            if self.rounds else 0.0),
-        }
-
-
 class Environment:
     """The simulation kernel: clock, event queue, and run loop.
 
@@ -604,13 +448,6 @@ class Environment:
                  "events_executed", "_base", "_horizon",
                  "_buckets", "_bucket_count", "_spill", "_spill_floor")
 
-    #: Number of shard lanes. 1 for this single-queue kernel; the
-    #: :class:`~repro.simnet.shard.ShardedEnvironment` subclass overrides
-    #: it, and shard-aware call sites (fabric delivery tagging, node
-    #: spawn) branch on ``shard_count > 1`` so the single-lane fast path
-    #: pays nothing.
-    shard_count = 1
-
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         #: Front heap: timed events in the current calendar bucket (or
@@ -622,9 +459,8 @@ class Environment:
         self._active_process: Process | None = None
         self._timeout_pool: list[Timeout] = []
         self._macro_pool: list[MacroEvent] = []
-        #: Events executed by :meth:`step` (the sharded kernel keeps the
-        #: equivalent tally per lane in ``EventLane.drained``). Pure
-        #: read-time observability — never consulted by the simulation.
+        #: Events executed by :meth:`step`. Pure read-time observability
+        #: — never consulted by the simulation.
         self.events_executed = 0
         #: Calendar state. ``_base`` is the current bucket number
         #: (``int(time) >> _CAL_SHIFT``); ``_horizon``/``_spill_floor``
@@ -887,9 +723,18 @@ class Environment:
                 if head >= _CAL_FAR:
                     # Beyond bucket arithmetic (inf-like timers): the
                     # spill heap itself is the right order — drain it.
+                    # The clock is headed past any bucket, so from here
+                    # on every timed entry goes straight to the front
+                    # heap; a later entry filed in the spill heap could
+                    # tie with a zero-delay one at ``now`` (float
+                    # absorption) and lose its sequence-order win.
                     queue.extend(spill)
                     del spill[:]
-                    break
+                    heapq.heapify(queue)
+                    self._base = base
+                    self._bucket_count = bucket_count
+                    self._horizon = self._spill_floor = float("inf")
+                    return
                 base = int(head) >> _CAL_SHIFT
             else:
                 break

@@ -231,3 +231,72 @@ def test_open_replicate_on_shuffle_flow_rejected():
     cluster.env.process(bad(cluster.env))
     with pytest.raises(FlowError, match="not replicate"):
         cluster.run()
+
+
+def _closed_loop_rpc(loss, seed, clients=2, replicas=4, requests=32):
+    """Clients issue one ordered multicast request at a time and wait for
+    every replica's answer before the next, so a source sits idle while
+    its requests are in flight. Runs under a simulated-time guard and
+    returns what each replica delivered plus the request sources."""
+    profile = HardwareProfile(multicast_loss_probability=loss)
+    cluster = Cluster(node_count=clients + replicas, profile=profile,
+                      seed=seed)
+    dfi = DfiRuntime(cluster)
+    replica_nodes = range(clients, clients + replicas)
+    dfi.init_replicate_flow(
+        "req", [f"node{c}|0" for c in range(clients)],
+        [f"node{r}|0" for r in replica_nodes], SCHEMA,
+        optimization=Optimization.LATENCY, ordering=Ordering.GLOBAL,
+        options=FlowOptions(multicast=True))
+    dfi.init_shuffle_flow(
+        "resp", [f"node{r}|1" for r in replica_nodes],
+        [f"node{c}|1" for c in range(clients)], SCHEMA,
+        optimization=Optimization.LATENCY)
+    delivered = [[] for _ in range(replicas)]
+    completed = [0] * clients
+    sources = []
+
+    def client_thread(index):
+        answers = yield from dfi.open_target("resp", index)
+        source = yield from dfi.open_source("req", index)
+        sources.append(source)
+        for seq in range(requests):
+            yield from source.push(((index << 32) | seq, seq))
+            for _ in range(replicas):
+                assert (yield from answers.consume()) is not FLOW_END
+            completed[index] += 1
+        yield from source.close()
+        assert (yield from answers.consume()) is FLOW_END
+
+    def replica_thread(index):
+        requests_in = yield from dfi.open_target("req", index)
+        answers_out = yield from dfi.open_source("resp", index)
+        while (request := (yield from requests_in.consume())) \
+                is not FLOW_END:
+            delivered[index].append(request[0])
+            yield from answers_out.push(request, target=request[0] >> 32)
+        yield from answers_out.close()
+
+    for client in range(clients):
+        cluster.node(client).spawn(client_thread(client))
+    for index, node_id in enumerate(replica_nodes):
+        cluster.node(node_id).spawn(replica_thread(index))
+    cluster.run(until=1e9)  # 1 s simulated; lossless finishes in ~0.1 ms
+    return completed, delivered, sources
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_idle_multicast_source_answers_nacks(seed):
+    """A closed-loop source is idle while its client waits for replies;
+    a NACK landing then must still trigger the retransmission, or the
+    ordered flow stalls behind the lost request forever."""
+    clients, replicas, requests = 2, 4, 32
+    completed, delivered, sources = _closed_loop_rpc(
+        loss=3e-2, seed=seed, clients=clients, replicas=replicas,
+        requests=requests)
+    assert completed == [requests] * clients
+    expected = sorted((c << 32) | s for c in range(clients)
+                      for s in range(requests))
+    assert sorted(delivered[0]) == expected  # each request exactly once
+    assert all(log == delivered[0] for log in delivered)  # one order
+    assert sum(source.retransmissions for source in sources) > 0

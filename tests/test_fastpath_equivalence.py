@@ -14,7 +14,7 @@ the equivalence is never vacuous.
 De-elision: a fault or congestion plane installed *mid-run* (between
 flushes) must flip ``QueuePair.steady_state()`` on the very next flush
 and keep the timeline bit-identical to the event path under the same
-mid-run install. Shard-crossing channels must never fuse at all.
+mid-run install.
 """
 
 import pytest
@@ -169,36 +169,3 @@ def test_mid_run_congestion_install_de_elides():
 
     _assert_de_elides(install)
 
-
-def test_shard_crossing_channels_never_fuse():
-    """Under a sharded kernel, only same-lane channels fuse: the fused
-    commit runs at the source lane's clock, so a cross-shard macro would
-    bypass the inter-lane ordering merge."""
-    config.FASTPATH_ENABLED = True
-    cluster = Cluster(node_count=3, shards=2, shard_map=[0, 0, 1])
-    dfi = DfiRuntime(cluster)
-    dfi.init_shuffle_flow(
-        "sharded", [Endpoint(0, 0)], [Endpoint(1, 0), Endpoint(2, 0)],
-        _SCHEMA, shuffle_key="key", options=FlowOptions())
-    fused = {}
-
-    def source_thread():
-        source = yield from dfi.open_source("sharded", 0)
-        fused.update({channel.qp.remote_node.node_id: channel._fused
-                      for channel in source._channels})
-        for start in range(0, 2048, 1024):
-            yield from source.push_batch(
-                [(i * 2654435761, _PAD) for i in range(start, start + 1024)])
-        yield from source.close()
-
-    def target_thread(index):
-        target = yield from dfi.open_target("sharded", index)
-        while (yield from target.consume_batch()) is not FLOW_END:
-            pass
-
-    cluster.node(0).spawn(source_thread())
-    cluster.node(1).spawn(target_thread(0))
-    cluster.node(2).spawn(target_thread(1))
-    cluster.run()
-    assert fused[1] is True      # source shard 0 -> target shard 0
-    assert fused[2] is False     # source shard 0 -> target shard 1

@@ -1,9 +1,13 @@
 """Unit tests for the discrete-event kernel."""
 
+from operator import itemgetter
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.common.errors import SimulationError
 from repro.simnet import Environment, Interrupt
+from repro.simnet.kernel import _CAL_FAR, _CAL_RING, _CAL_SHIFT
 
 
 def test_timeout_advances_clock():
@@ -325,3 +329,135 @@ def test_peek_reports_next_event_time():
     assert env.peek() == 25
     env.run()
     assert env.peek() == float("inf")
+
+
+# -- reference model for the calendar queue ----------------------------------
+# A program is a list of actions; each action schedules a callback that logs
+# ``(now, path)`` and then schedules its child actions. Kinds:
+#   ("at", delay, children)      -> schedule_at(now + delay, ...)
+#   ("pooled", delay, children)  -> pooled_timeout(delay) + callback
+#   ("train", [(delay, children), ...], ()) -> schedule_train, sorted delays
+_BUCKET = float(1 << _CAL_SHIFT)
+_WINDOW = float(_CAL_RING << _CAL_SHIFT)
+_DELAYS = st.one_of(
+    st.sampled_from([0.0, 1.0, _BUCKET, _WINDOW, _CAL_FAR]),  # ties, edges
+    st.floats(0.5, _BUCKET - 1.0),        # current bucket: front heap
+    st.floats(_BUCKET, _WINDOW),          # calendar ring window
+    st.floats(_WINDOW, 1e12),             # spill heap
+    st.floats(_CAL_FAR, 4 * _CAL_FAR),    # past bucket arithmetic
+)
+
+
+def _train(children):
+    steps = st.lists(st.tuples(_DELAYS, st.lists(children, max_size=2)
+                               .map(tuple)), min_size=1, max_size=4)
+    return steps.map(lambda steps: ("train", tuple(
+        sorted(steps, key=itemgetter(0))), ()))
+
+
+_ACTION = st.recursive(
+    st.tuples(st.sampled_from(["at", "pooled"]), _DELAYS, st.just(())),
+    lambda children: st.one_of(
+        st.tuples(st.sampled_from(["at", "pooled"]), _DELAYS,
+                  st.lists(children, max_size=3).map(tuple)),
+        _train(children)),
+    max_leaves=24)
+
+
+def _run_kernel(program):
+    env = Environment()
+    log = []
+
+    def fire(path, children):
+        log.append((env.now, path))
+        for index, child in enumerate(children):
+            schedule(child, path + (index,))
+
+    def schedule(action, path):
+        kind, spec, children = action
+        if kind == "at":
+            env.schedule_at(env.now + spec, lambda: fire(path, children))
+        elif kind == "pooled":
+            env.pooled_timeout(spec).callbacks.append(
+                lambda _event: fire(path, children))
+        else:
+            env.schedule_train([
+                (env.now + delay, lambda arg: fire(*arg),
+                 (path + (step,), kids))
+                for step, (delay, kids) in enumerate(spec)])
+
+    for index, action in enumerate(program):
+        schedule(action, (index,))
+    env.run()
+    return log, env.now, env.events_executed
+
+
+def _run_model(program):
+    """The same program on a plain list: every step runs the entry that
+    ``sorted`` puts first by ``(when, schedule-order)``. Times in the past
+    clamp to now, as does a zero delay; a train re-arms one entry per hop
+    at its next action's time and runs every due action in that hop."""
+    pending = []
+    log = []
+    state = {"now": 0.0, "order": 0}
+
+    def push(when, fn):
+        now = state["now"]
+        pending.append((when if when > now else now, state["order"], fn))
+        state["order"] += 1
+
+    def fire(path, children):
+        log.append((state["now"], path))
+        for index, child in enumerate(children):
+            schedule(child, path + (index,))
+
+    def schedule(action, path):
+        kind, spec, children = action
+        now = state["now"]
+        if kind == "at":
+            push(now + spec, lambda: fire(path, children))
+        elif kind == "pooled":
+            push(now + spec if spec else now, lambda: fire(path, children))
+        else:
+            steps = [(now + delay, path + (step,), kids)
+                     for step, (delay, kids) in enumerate(spec)]
+            cursor = [0]
+
+            def hop():
+                while (cursor[0] < len(steps)
+                       and steps[cursor[0]][0] <= state["now"]):
+                    _when, step_path, kids = steps[cursor[0]]
+                    cursor[0] += 1
+                    fire(step_path, kids)
+                if cursor[0] < len(steps):
+                    push(steps[cursor[0]][0], hop)
+
+            push(steps[0][0], hop)
+
+    for index, action in enumerate(program):
+        schedule(action, (index,))
+    executed = 0
+    while pending:
+        entry = sorted(pending, key=itemgetter(0, 1))[0]
+        pending.remove(entry)
+        state["now"] = entry[0]
+        executed += 1
+        entry[2]()
+    return log, state["now"], executed
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_ACTION, min_size=1, max_size=6))
+@example([("at", 0.0, (("pooled", 0.0, ()), ("at", 1.0, ()))),
+          ("pooled", 3.0, (("at", _BUCKET, ()),)),
+          ("at", _WINDOW - 1.0, (("pooled", _WINDOW, ()),)),
+          ("pooled", 1e9, (("at", 0.0, ()), ("pooled", 5.0, ()))),
+          ("train", ((0.0, ()), (_BUCKET, (("at", 2.0, ()),)),
+                     (_BUCKET, ()), (2e6, ())), ()),
+          ("at", _CAL_FAR, (("pooled", 1.0, ()), ("at", -5.0, ())))])
+def test_calendar_queue_matches_sorted_reference(program):
+    """Zero-delay deque, front heap, calendar ring, spill heap and the
+    past-``_CAL_FAR`` lane must together fire exactly what a plain
+    ``sorted`` over ``(when, schedule-order)`` fires, in that order —
+    including actions scheduled from inside callbacks and train hops."""
+    assert _run_kernel(program) == _run_model(program)
