@@ -14,6 +14,13 @@ Emits ``benchmarks/perf/BENCH_push_path.json`` with tuples/sec per
 scenario plus the simulated GiB/s (which must not change when the hot
 path gets faster — determinism guard). ``--profile`` wraps the run in
 cProfile and prints the top 20 entries by cumulative time.
+
+``--check <committed.json>`` re-compares a fresh run against a committed
+baseline JSON instead of rewriting it. The simulated elapsed ns of every
+scenario (and the Fig. 7a cross-check) is a **hard gate**: it must be
+bit-identical to the committed record, or the check dies. tuples/s gets
+a report-only +-20% band, because host speed varies across runners.
+The fresh run must use the committed ``BENCH_PUSH_BYTES`` (4 MiB).
 """
 
 from __future__ import annotations
@@ -172,7 +179,51 @@ def _best_of(fn, *args) -> dict:
     return best
 
 
+def _scenario_name(entry: dict) -> str:
+    return f"{entry['tuple_size']}B-{entry['mode']}"
+
+
+def check_against(committed_path: str, fresh: dict) -> None:
+    """+-20% report-only band on tuples/s; **hard gate** on simulated ns
+    (bit-identical to the committed record or the check dies)."""
+    with open(committed_path) as fh:
+        committed = json.load(fh)
+    assert fresh["total_bytes"] == committed["total_bytes"], (
+        f"fresh run pushed {fresh['total_bytes']} bytes, the committed "
+        f"record {committed['total_bytes']}: set BENCH_PUSH_BYTES to match")
+    key = "fig7a_64B_1src_simulated_bytes_per_ns"
+    assert fresh[key] == committed[key], (
+        f"{key} drifted from the committed record: {fresh[key]} != "
+        f"{committed[key]}")
+    baseline = {_scenario_name(entry): entry
+                for entry in committed.get("scenarios", [])}
+    print(f"\n--- regression check vs {committed_path} (+-20% band, "
+          f"report-only) ---")
+    for entry in fresh["scenarios"]:
+        name = _scenario_name(entry)
+        ref = baseline.get(name)
+        if ref is None:
+            print(f"{name:>16}: NEW (no committed baseline)")
+            continue
+        assert (entry["simulated_elapsed_ns"]
+                == ref["simulated_elapsed_ns"]), (
+            f"{name}: simulated time drifted from the committed record: "
+            f"{entry['simulated_elapsed_ns']} != "
+            f"{ref['simulated_elapsed_ns']}")
+        ratio = entry["tuples_per_sec"] / ref["tuples_per_sec"]
+        verdict = "ok" if 0.8 <= ratio else "REGRESSION?"
+        if ratio > 1.2:
+            verdict = "faster"
+        print(f"{name:>16}: {ratio:5.2f}x committed  [{verdict}]")
+    print("--- end regression check (simulated ns hard-gated, tuples/s "
+          "informational) ---")
+
+
 def main() -> None:
+    args = sys.argv[1:]
+    check_path = None
+    if args and args[0] == "--check":
+        check_path = args[1] if len(args) > 1 else OUTPUT
     total_bytes = int(os.environ.get("BENCH_PUSH_BYTES", 4 << 20))
     results = {"bench": "push_path", "total_bytes": total_bytes,
                "reps": REPS, "scenarios": []}
@@ -193,6 +244,9 @@ def main() -> None:
     m = measure_shuffle_bandwidth(64, 1, total_bytes=1 << 20)
     results["fig7a_64B_1src_simulated_bytes_per_ns"] = m.bytes_per_ns
     print(f"fig7a(64 B, 1 src) simulated: {m.bytes_per_ns!r} B/ns")
+    if check_path is not None:
+        check_against(check_path, results)
+        return  # never rewrites the committed JSON
     with open(OUTPUT, "w") as fh:
         json.dump(results, fh, indent=2)
     print(f"wrote {OUTPUT}")

@@ -131,6 +131,12 @@ class Schema:
         #: Bound method cache: ``unpack_rows`` runs once per drained
         #: segment on the target hot path.
         self._iter_unpack = self._struct.iter_unpack
+        #: The tuple layout's bound ``struct.Struct.pack_into``, for hot
+        #: loops that pack one tuple per call:
+        #: ``raw_pack_into(buffer, offset, *values)``. A mismatched tuple
+        #: raises ``struct.error``; :meth:`pack_error` turns that into
+        #: the exact SchemaError :meth:`pack_into` raises.
+        self.raw_pack_into = self._struct.pack_into
         #: Compiled batch structs, keyed by tuple count (push_batch packs a
         #: whole segment with a single struct call). Bounded: once
         #: ``_BATCH_CACHE_CAP`` distinct counts are cached, new counts pack
@@ -198,8 +204,12 @@ class Schema:
         try:
             self._struct.pack_into(buffer, offset, *values)
         except struct.error as exc:
-            raise SchemaError(
-                f"tuple {values!r} does not match schema: {exc}") from None
+            raise self.pack_error(values, exc) from None
+
+    @staticmethod
+    def pack_error(values: tuple, exc: struct.error) -> SchemaError:
+        """The SchemaError for a tuple that failed to pack."""
+        return SchemaError(f"tuple {values!r} does not match schema: {exc}")
 
     def _batch_struct(self, count: int) -> "struct.Struct | None":
         """Batch struct for ``count`` tuples, or ``None`` once the cache

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from struct import Struct as _Struct
+from struct import error as _StructError
 from typing import TYPE_CHECKING
 
 from repro.common.errors import (
@@ -195,6 +196,17 @@ class BandwidthSourceChannel:
         self._train_window = max(1, min(self._ring_segments,
                                         handle.segment_count // 2))
         self._train_ok = (self.segment_payload % self.schema.tuple_size == 0)
+        # Per-tuple push constants, computed once: the tuple size, its
+        # CPU cost (the one expression every push path charges per
+        # tuple, so the accumulated float debt is the same whichever
+        # path staged it), the staged-byte level past which the next
+        # tuple no longer fits, and the schema's bound packer.
+        self._tuple_size = self.schema.tuple_size
+        self._tuple_cost = (self.profile.cpu_tuple_overhead
+                            + self._tuple_size
+                            * self.profile.cpu_copy_per_byte)
+        self._last_fit = self.segment_payload - self._tuple_size
+        self._pack = self.schema.raw_pack_into
         #: Remote slots proven writable by the last windowed footer read.
         self._window_left = 0
         #: In-flight windowed footer read (pipelined with the last train).
@@ -254,17 +266,29 @@ class BandwidthSourceChannel:
         copy into the send buffer unless the segment is full *and* the
         remote ring has no writable slot.
         """
+        if self.stage(values):
+            yield from self._flush(0)
+
+    def stage(self, values: tuple) -> bool:
+        """Copy one tuple into the staging segment; no simulated time
+        passes. Returns True when the segment is full, i.e. the caller
+        must ``yield from _flush(0)`` before the next tuple.
+
+        A tuple that does not match the schema raises SchemaError before
+        any channel state changes.
+        """
         if self.closed:
             raise FlowClosedError("push on a closed flow source")
-        self.schema.pack_into(self._staging,
-                              self._staging_base + self._used, values)
-        self._used += self.schema.tuple_size
-        self._cpu_debt += (self.profile.cpu_tuple_overhead
-                           + self.schema.tuple_size
-                           * self.profile.cpu_copy_per_byte)
+        used = self._used
+        try:
+            self._pack(self._staging, self._staging_base + used, *values)
+        except _StructError as exc:
+            raise self.schema.pack_error(values, exc) from None
+        used += self._tuple_size
+        self._used = used
+        self._cpu_debt += self._tuple_cost
         self.tuples_sent += 1
-        if self._used + self.schema.tuple_size > self.segment_payload:
-            yield from self._flush(0)
+        return used > self._last_fit
 
     def push_batch(self, tuples):
         """Generator: append a batch of tuples, flushing as segments fill.
@@ -283,9 +307,7 @@ class BandwidthSourceChannel:
         total = len(tuples)
         if not total:
             return
-        tuple_size = self.schema.tuple_size
-        per_tuple = (self.profile.cpu_tuple_overhead
-                     + tuple_size * self.profile.cpu_copy_per_byte)
+        tuple_size = self._tuple_size
         capacity = self.segment_payload
         # One coalesced CPU charge: leftover debt from earlier pushes, the
         # batch's per-tuple work, and the post cost of every flush this
@@ -293,7 +315,7 @@ class BandwidthSourceChannel:
         # count reaches a full segment).
         seg_tuples = capacity // tuple_size
         flushes = (self._used // tuple_size + total) // seg_tuples
-        debt = (self._cpu_debt + total * per_tuple
+        debt = (self._cpu_debt + total * self._tuple_cost
                 + flushes * self.profile.cpu_post_cost)
         self._cpu_debt = 0.0
         yield self.node.compute(debt)
@@ -365,13 +387,11 @@ class BandwidthSourceChannel:
                 f"{tuple_size}-byte tuple size")
         if not size:
             return
-        per_tuple = (self.profile.cpu_tuple_overhead
-                     + tuple_size * self.profile.cpu_copy_per_byte)
         total = size // tuple_size
         capacity = self.segment_payload
         seg_tuples = capacity // tuple_size
         flushes = (self._used // tuple_size + total) // seg_tuples
-        debt = (self._cpu_debt + total * per_tuple
+        debt = (self._cpu_debt + total * self._tuple_cost
                 + flushes * self.profile.cpu_post_cost)
         self._cpu_debt = 0.0
         yield self.node.compute(debt)
@@ -845,6 +865,13 @@ class LatencySourceChannel:
         self._slot_size = self.segment_payload + FOOTER_SIZE
         self._staging = bytearray(handle.segment_count * self._slot_size)
         self._staging_view = memoryview(self._staging)
+        # Per-tuple push constants (see BandwidthSourceChannel): a latency
+        # push charges the tuple's CPU cost plus one post in one compute.
+        self._tuple_size = self.schema.tuple_size
+        self._push_cost = (self.profile.cpu_tuple_overhead
+                           + self._tuple_size * self.profile.cpu_copy_per_byte
+                           + self.profile.cpu_post_cost)
+        self._pack = self.schema.raw_pack_into
         self._rng = node.backoff_rng
         self._max_retries = descriptor.options.max_backoff_retries
         self._threshold = descriptor.options.credit_threshold
@@ -886,15 +913,15 @@ class LatencySourceChannel:
         """Generator: transfer one tuple immediately (one RDMA write)."""
         if self.closed:
             raise FlowClosedError("push on a closed flow source")
-        cost = (self.profile.cpu_tuple_overhead
-                + self.schema.tuple_size * self.profile.cpu_copy_per_byte
-                + self.profile.cpu_post_cost)
-        yield self.node.compute(cost)
+        yield self.node.compute(self._push_cost)
         yield from self._acquire_credit()
         # Pack straight into the staging slot — no intermediate bytes.
         base = self._slot_base()
-        self.schema.pack_into(self._staging, base, values)
-        self._finish_slot(base, self.schema.tuple_size, FLAG_CONSUMABLE)
+        try:
+            self._pack(self._staging, base, *values)
+        except _StructError as exc:
+            raise self.schema.pack_error(values, exc) from None
+        self._finish_slot(base, self._tuple_size, FLAG_CONSUMABLE)
         self.tuples_sent += 1
         if (self._available_credits <= self._threshold
                 and self._pending_credit_read is None):
@@ -917,12 +944,9 @@ class LatencySourceChannel:
             raise FlowError(
                 f"push_bytes got {size} bytes, not a multiple of the "
                 f"{tuple_size}-byte tuple size")
-        cost = (self.profile.cpu_tuple_overhead
-                + tuple_size * self.profile.cpu_copy_per_byte
-                + self.profile.cpu_post_cost)
         view = memoryview(data)
         for start in range(0, size, tuple_size):
-            yield self.node.compute(cost)
+            yield self.node.compute(self._push_cost)
             yield from self._acquire_credit()
             base = self._slot_base()
             self._staging[base:base + tuple_size] = (
@@ -1354,6 +1378,17 @@ class TargetChannel:
         return drained
 
 
+def _route_first(_values, _count) -> int:
+    """Router of a one-target flow without key or routing function."""
+    return 0
+
+
+def _source_channel_class(descriptor: FlowDescriptor):
+    if descriptor.optimization is Optimization.LATENCY:
+        return LatencySourceChannel
+    return BandwidthSourceChannel
+
+
 class ShuffleSource:
     """The per-thread source endpoint of a shuffle flow."""
 
@@ -1371,9 +1406,13 @@ class ShuffleSource:
         elif descriptor.shuffle_key is not None:
             self._router = key_hash_router(schema, descriptor.shuffle_key)
         elif len(channels) == 1:
-            self._router = lambda _values, _count: 0
+            self._router = _route_first
         else:
             self._router = None  # direct routing only
+        #: Bandwidth channels stage tuples synchronously and flush only
+        #: when a segment fills; latency channels write every tuple.
+        self._staged = (_source_channel_class(descriptor)
+                        is BandwidthSourceChannel)
         self.closed = False
         #: Failure policy (``FlowOptions.on_target_failure``).
         self._policy = descriptor.options.on_target_failure
@@ -1396,9 +1435,7 @@ class ShuffleSource:
                 f"[0, {descriptor.source_count})")
         node = registry.cluster.node(
             descriptor.sources[source_index].node_id)
-        latency = descriptor.optimization is Optimization.LATENCY
-        channel_cls = (LatencySourceChannel if latency
-                       else BandwidthSourceChannel)
+        channel_cls = _source_channel_class(descriptor)
         channels = []
         for target_index in range(descriptor.target_count):
             handle = yield from registry.wait_ring(name, source_index,
@@ -1414,6 +1451,9 @@ class ShuffleSource:
         Routing follows the descriptor (shuffle key or routing function)
         unless ``target`` names a target index directly (the paper's third
         routing option).
+
+        On a bandwidth flow the tuple is staged synchronously; the only
+        generator entered is the channel's flush, when the segment fills.
         """
         if self.closed:
             raise FlowClosedError("push on a closed flow source")
@@ -1428,7 +1468,8 @@ class ShuffleSource:
                     f"target {target} of flow {self.descriptor.name!r} "
                     f"has failed")
         else:
-            if self._router is None:
+            router = self._router
+            if router is None:
                 raise FlowError(
                     "flow has no shuffle key or routing function; pass "
                     "target= explicitly")
@@ -1437,9 +1478,20 @@ class ShuffleSource:
                 raise FlowPeerFailedError(
                     f"every target of flow {self.descriptor.name!r} has "
                     f"failed")
-            target = live[self._router(values, len(live))]
+            target = (live[0] if router is _route_first
+                      else live[router(values, len(live))])
+        channel = self._channels[target]
+        if self._staged:
+            if not channel.stage(values):
+                return
+            # The staged tuple is already counted on this channel.
+            counted = channel.tuples_sent - 1
+            step = channel._flush(0)
+        else:
+            counted = channel.tuples_sent
+            step = channel.push(values)
         try:
-            yield from self._channels[target].push(values)
+            yield from step
         except (QpFlushedError, FlowTimeoutError) as exc:
             yield from self._handle_channel_failure(target, exc)
             if explicit:
@@ -1447,7 +1499,9 @@ class ShuffleSource:
                     f"target {target} of flow {self.descriptor.name!r} "
                     f"failed ({exc})") from exc
             # Reroute policy: the survivors absorb the key space — resend
-            # this tuple through the shrunken live set.
+            # this tuple through the shrunken live set, where it is
+            # counted instead of on the dead channel.
+            channel.tuples_sent = counted
             yield from self.push(values)
 
     def push_many(self, tuples, target: "int | None" = None):
@@ -1496,10 +1550,13 @@ class ShuffleSource:
                 f"every target of flow {self.descriptor.name!r} has failed")
         if len(live) == 1:
             index = live[0]
+            counted = channels[index].tuples_sent
             try:
                 yield from channels[index].push_batch(tuples)
             except (QpFlushedError, FlowTimeoutError) as exc:
                 yield from self._handle_channel_failure(index, exc)
+                # The whole batch is re-sent, and counted, on survivors.
+                channels[index].tuples_sent = counted
                 yield from self.push_batch(tuples)
             return
         if self._router is None:
@@ -1519,10 +1576,12 @@ class ShuffleSource:
         for slot, group in enumerate(groups):
             if group:
                 index = live[slot]
+                counted = channels[index].tuples_sent
                 try:
                     yield from channels[index].push_batch(group)
                 except (QpFlushedError, FlowTimeoutError) as exc:
                     yield from self._handle_channel_failure(index, exc)
+                    channels[index].tuples_sent = counted
                     # The live set just shrank, so the remaining groups'
                     # slots no longer line up — re-partition the failed
                     # group plus everything not yet pushed over the
@@ -1613,9 +1672,7 @@ class ShuffleSource:
         self.registry.mark_flow_aborted(name)
         descriptor = self.registry.descriptor(name)
         channels = list(self._channels)
-        latency = descriptor.optimization is Optimization.LATENCY
-        channel_cls = (LatencySourceChannel if latency
-                       else BandwidthSourceChannel)
+        channel_cls = _source_channel_class(descriptor)
         for target_index in range(len(self._channels),
                                   descriptor.target_count):
             handle = self.registry.published_ring(name, self.source_index,
@@ -1641,9 +1698,7 @@ class ShuffleSource:
             raise FlowAbortedError(
                 f"flow {self.descriptor.name!r} was aborted")
         descriptor = self.registry.descriptor(self.descriptor.name)
-        latency = descriptor.optimization is Optimization.LATENCY
-        channel_cls = (LatencySourceChannel if latency
-                       else BandwidthSourceChannel)
+        channel_cls = _source_channel_class(descriptor)
         for target_index in range(len(self._channels),
                                   descriptor.target_count):
             handle = yield from self.registry.wait_ring(

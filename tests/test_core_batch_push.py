@@ -69,11 +69,21 @@ def _batched(source, _index):
 @pytest.mark.parametrize("optimization",
                          [Optimization.BANDWIDTH, Optimization.LATENCY])
 def test_push_batch_matches_per_tuple_delivery(optimization):
+    _assert_batch_matches_per_tuple(optimization, 3)
+
+
+@pytest.mark.parametrize("targets", [1, 8])
+def test_push_batch_matches_per_tuple_delivery_fan_out(targets):
+    _assert_batch_matches_per_tuple(Optimization.BANDWIDTH, targets)
+
+
+def _assert_batch_matches_per_tuple(optimization, targets):
     results = []
     for fn in (_per_tuple, _batched):
-        cluster, dfi = build(4)
+        cluster, dfi = build(1 + targets)
         dfi.init_shuffle_flow(
-            "f", [Endpoint(0, 0)], [Endpoint(n, 0) for n in (1, 2, 3)],
+            "f", [Endpoint(0, 0)],
+            [Endpoint(n, 0) for n in range(1, 1 + targets)],
             SCHEMA, shuffle_key="key", optimization=optimization)
         results.append(run_flow(cluster, dfi, "f", fn))
     per_tuple, batched = results

@@ -7,6 +7,8 @@ replicate all-targets contract, and the multicast retransmit bound under
 total datagram loss.
 """
 
+import pytest
+
 from repro.common import HardwareProfile
 from repro.common.errors import (
     FlowAbortedError,
@@ -15,6 +17,7 @@ from repro.common.errors import (
 )
 from repro.core import FLOW_END, DfiRuntime, FlowOptions, Schema
 from repro.core.flowdef import Optimization
+from repro.core.routing import key_hash_router
 from repro.simnet import Cluster, FaultPlan, node_crash
 
 SCHEMA = Schema(("key", "uint64"), ("value", "uint64"))
@@ -95,7 +98,10 @@ def test_consume_detects_crashed_source():
 
 # -- source-side failure policy ---------------------------------------------
 
-def _crash_target_run(policy):
+def _crash_target_run(policy, api="push"):
+    """1 -> 2 shuffle of keys 0..3999 whose second target's node crashes
+    mid-flow. ``api`` is ``"push"`` (per tuple) or ``"push_batch"``
+    (batches of 100)."""
     cluster = Cluster(node_count=3)
     cluster.install_faults(FaultPlan([node_crash(2, at=100_000.0)]),
                            detection_timeout=10_000.0)
@@ -105,19 +111,25 @@ def _crash_target_run(policy):
         shuffle_key="key",
         options=_small_options(peer_timeout=100_000.0,
                                on_target_failure=policy))
-    outcome = {"survivor": [], "source_error": None, "survivor_error": None,
-               "closed": False, "failed": ()}
+    outcome = {"survivor": [], "victim": [], "source_error": None,
+               "survivor_error": None, "closed": False, "failed": ()}
 
     def source_thread():
         source = yield from dfi.open_source("pol", 0)
         try:
-            for i in range(4000):
-                yield from source.push((i, i))
+            if api == "push":
+                for i in range(4000):
+                    yield from source.push((i, i))
+            else:
+                for start in range(0, 4000, 100):
+                    yield from source.push_batch(
+                        [(i, i) for i in range(start, start + 100)])
             yield from source.close()
             outcome["closed"] = True
         except FlowPeerFailedError as exc:
             outcome["source_error"] = exc
         outcome["failed"] = source.failed_targets
+        outcome["tuples_sent"] = source.tuples_sent
 
     def survivor_thread():
         target = yield from dfi.open_target("pol", 0)
@@ -132,8 +144,8 @@ def _crash_target_run(policy):
 
     def victim_thread():
         target = yield from dfi.open_target("pol", 1)
-        while (yield from target.consume()) is not FLOW_END:
-            pass
+        while (item := (yield from target.consume())) is not FLOW_END:
+            outcome["victim"].append(item)
 
     cluster.env.process(source_thread())
     cluster.env.process(survivor_thread())
@@ -162,6 +174,32 @@ def test_reroute_policy_continues_on_the_survivors():
     post_failure_keys = {k for k, _v in outcome["survivor"][-200:]}
     assert any(k % 2 == 0 for k in post_failure_keys)
     assert any(k % 2 == 1 for k in post_failure_keys)
+
+
+@pytest.mark.parametrize("api", ["push", "push_batch"])
+def test_reroute_counts_each_pushed_tuple_once(api):
+    """The tuple whose flush hit the dead target is re-sent to a
+    survivor; it is counted there and not on the failed channel."""
+    outcome = _crash_target_run("reroute", api)
+    assert outcome["closed"]
+    assert outcome["tuples_sent"] == 4000
+
+
+@pytest.mark.parametrize("api", ["push", "push_batch"])
+def test_reroute_loses_only_tuples_bound_for_the_failed_ring(api):
+    """Pins the reroute guarantee of docs/fault_tolerance.md: tuples
+    staged in, or in flight to, the failed ring when the failure is
+    detected are not re-sent. Every lost key belongs to the failed
+    target, and at most its ring window plus one staged segment is lost."""
+    outcome = _crash_target_run("reroute", api)
+    assert outcome["closed"] and outcome["failed"] == (1,)
+    delivered = {k for k, _v in outcome["survivor"] + outcome["victim"]}
+    lost = set(range(4000)) - delivered
+    router = key_hash_router(SCHEMA, "key")
+    assert all(router((k, k), 2) == 1 for k in lost)
+    options = _small_options()
+    per_segment = options.segment_size // SCHEMA.tuple_size
+    assert len(lost) <= (options.target_segments + 1) * per_segment
 
 
 # -- naive replicate ---------------------------------------------------------

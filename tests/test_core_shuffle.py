@@ -1,10 +1,14 @@
 """Integration tests for shuffle flows (bandwidth and latency modes)."""
 
+from collections import Counter
+
 import pytest
 
-from repro.common.errors import FlowClosedError, FlowError
+from repro.common import config
+from repro.common.errors import FlowClosedError, FlowError, SchemaError
 from repro.core import (
     FLOW_END,
+    AggregationSpec,
     DfiRuntime,
     Endpoint,
     FlowDescriptor,
@@ -14,7 +18,7 @@ from repro.core import (
     Schema,
 )
 from repro.core.shuffle import ShuffleSource, ShuffleTarget
-from repro.simnet import Cluster
+from repro.simnet import Cluster, CongestionConfig
 
 SCHEMA = Schema(("key", "uint64"), ("value", "uint64"))
 
@@ -425,3 +429,153 @@ def test_stats_counters():
     cluster.env.process(target_thread(cluster.env))
     cluster.run()
     assert stats == {"sent": 123, "received": 123}
+
+
+# -- the per-tuple push contract ---------------------------------------------
+
+@pytest.mark.parametrize("optimization",
+                         [Optimization.BANDWIDTH, Optimization.LATENCY])
+def test_mistyped_push_raises_schema_error_and_changes_nothing(optimization):
+    cluster, dfi = build(node_count=2)
+    dfi.init_shuffle_flow("f", ["node0|0"], ["node1|0"], SCHEMA,
+                          shuffle_key="key", optimization=optimization)
+    bad = ("not-an-int", 1)
+    with pytest.raises(SchemaError) as reference:
+        SCHEMA.pack_into(bytearray(SCHEMA.tuple_size), 0, bad)
+    seen = {}
+
+    def source_thread():
+        source = yield from dfi.open_source("f", 0)
+        yield from source.push((1, 10))
+        yield from source.push((2, 20))
+        channel = source._channels[0]
+        staged = getattr(channel, "_used", 0)
+        before = bytes(channel._staging[:staged])
+        try:
+            yield from source.push(bad)
+        except SchemaError as exc:
+            seen["error"] = exc
+        seen["sent"] = source.tuples_sent
+        seen["staged"] = getattr(channel, "_used", 0) == staged
+        seen["bytes"] = bytes(channel._staging[:staged]) == before
+        yield from source.push((3, 30))
+        yield from source.close()
+
+    received = []
+
+    def target_thread():
+        target = yield from dfi.open_target("f", 0)
+        while (item := (yield from target.consume())) is not FLOW_END:
+            received.append(item)
+
+    cluster.env.process(source_thread())
+    cluster.env.process(target_thread())
+    cluster.run()
+    assert type(seen["error"]) is SchemaError
+    assert str(seen["error"]) == str(reference.value)
+    assert seen["sent"] == 2
+    assert seen["staged"] and seen["bytes"]
+    assert received == [(1, 10), (2, 20), (3, 30)]
+
+
+@pytest.mark.parametrize("optimization",
+                         [Optimization.BANDWIDTH, Optimization.LATENCY])
+def test_channel_push_after_close_rejected(optimization):
+    cluster, dfi = build(node_count=2)
+    dfi.init_shuffle_flow("f", ["node0|0"], ["node1|0"], SCHEMA,
+                          shuffle_key="key", optimization=optimization)
+    errors = []
+
+    def source_thread():
+        source = yield from dfi.open_source("f", 0)
+        channel = source._channels[0]
+        yield from source.close()
+        for push in (source.push, channel.push):
+            try:
+                yield from push((1, 1))
+            except FlowClosedError:
+                errors.append(type(channel).__name__)
+
+    def target_thread():
+        target = yield from dfi.open_target("f", 0)
+        while (yield from target.consume()) is not FLOW_END:
+            pass
+
+    cluster.env.process(source_thread())
+    cluster.env.process(target_thread())
+    cluster.run()
+    expected = ("LatencySourceChannel" if optimization is Optimization.LATENCY
+                else "BandwidthSourceChannel")
+    assert errors == [expected, expected]
+
+
+COMBINER_SCHEMA = Schema(("group", "uint64"), ("value", "uint64"),
+                         ("pad", 48))
+
+
+def _combiner_run(push_mode, congestion=None, causal=False, senders=8,
+                  tuples_per_sender=500):
+    cluster = Cluster(node_count=1 + senders)
+    if causal:
+        cluster.enable_observability(causal=True)
+    dfi = DfiRuntime(cluster)
+    options = (FlowOptions(congestion=congestion) if congestion is not None
+               else FlowOptions())
+    dfi.init_combiner_flow(
+        "agg", [Endpoint(1 + n, 0) for n in range(senders)], Endpoint(0, 0),
+        COMBINER_SCHEMA,
+        aggregation=AggregationSpec("sum", group_by="group", value="value"),
+        options=options)
+    pad = bytes(48)
+    inputs = [[((n * 31 + i) % 97, n * 1000 + i, pad)
+               for i in range(tuples_per_sender)] for n in range(senders)]
+    out = {}
+
+    def sender(index):
+        source = yield from dfi.open_source("agg", index)
+        if push_mode == "push":
+            for values in inputs[index]:
+                yield from source.push(values)
+        else:
+            rows = inputs[index]
+            for start in range(0, len(rows), 64):
+                yield from source.push_batch(rows[start:start + 64])
+        yield from source.close()
+
+    def target_thread():
+        target = yield from dfi.open_target("agg")
+        out["aggregates"] = yield from target.consume_all()
+        out["folded"] = target.tuples_aggregated
+
+    for n in range(senders):
+        cluster.node(1 + n).spawn(sender(n))
+    cluster.node(0).spawn(target_thread())
+    cluster.run()
+    expected = Counter()
+    for rows in inputs:
+        for group, value, _pad in rows:
+            expected[group] += value
+    return cluster, out, dict(expected)
+
+
+def test_per_tuple_push_matches_push_batch_on_combiner():
+    _, per_tuple, expected = _combiner_run("push")
+    _, batched, _ = _combiner_run("push_batch")
+    assert per_tuple["aggregates"] == batched["aggregates"] == expected
+    assert per_tuple["folded"] == batched["folded"] == 8 * 500
+
+
+def test_per_tuple_combiner_simulated_time_is_pinned():
+    """Per-tuple push under congestion and causal recording: the
+    simulated end time and kernel event count are pinned to recorded
+    values, so a hot-path rewrite cannot move the model."""
+    cluster, out, expected = _combiner_run(
+        "push", congestion=CongestionConfig.datacenter(), causal=True,
+        tuples_per_sender=2048)
+    assert out["aggregates"] == expected
+    assert cluster.metrics_snapshot()["congestion"]["ecn_marks"] > 0
+    assert cluster.now == 912112.8683393927
+    # Steady-state event elision (REPRO_NO_FASTPATH=1 turns it off)
+    # saves kernel events but never simulated time.
+    assert cluster.env.events_executed == (2129 if config.FASTPATH_ENABLED
+                                           else 2257)
